@@ -3,16 +3,19 @@ package repro.baselines
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.core._
+import repro.util.Hashing
 import scala.collection.mutable
 
 /** Distributed MinHash LSH self-join (paper Algorithm 3 as a Spark dataflow).
   *
   * Each repetition computes one bucket key per record from k sampled minhash
-  * coordinates, shuffles by key, and brute-forces every bucket with the same
-  * sketch-filtered verifier as CPSJoin inside `flatMapGroups`. Repetitions
-  * are batched into a single dataflow by prefixing the bucket key with the
-  * repetition index. The key length k is chosen on the driver with the
-  * cost-based rule of §V-B (`MinHashLSHLocal.chooseK`).
+  * coordinates; the keys are computed on the executors from the sorted ids
+  * and the broadcast payload. Repetitions are batched into a single shuffle
+  * by prefixing the bucket key with the repetition index. The `(key, id)`
+  * rows are grouped with the same pair-RDD bucket shuffle as `CPSJoinSpark`,
+  * and every bucket is brute-forced with the same sketch-filtered verifier
+  * as CPSJoin, so a run is one Spark job. The key length k is chosen on the
+  * driver with the cost-based rule of §V-B (`MinHashLSHLocal.chooseK`).
   */
 final class MinHashLSHSpark(
     spark: SparkSession,
@@ -22,35 +25,29 @@ final class MinHashLSHSpark(
     p: CPSParams,
     stats: StatsSink = NullStats,
 ) extends Serializable {
-  import spark.implicits._
 
   /** Run the given repetitions; returns deduplicated verified pairs. */
   def run(reps: Seq[Int]): Map[(Long, Long), Double] = {
-    val ids = payload.value.keys.toSeq.sorted
     val bc = payload
     val lam = lambda
     val params = p
-    val kk = k
     val sink = stats
-    val repSeq = reps.toIndexedSeq
-    val rows: Seq[(Long, Long)] = for {
-      r <- repSeq
-      coords = MinHashLSHLocal.repCoordinates(params.t, kk, params.seed, r)
-      id <- ids
-    } yield (repro.util.Hashing.combine(r.toLong + 1, MinHashLSHLocal.bucketKey(bc.value(id).mh, coords)), id)
-
-    val pairs = spark.createDataset(rows)
-      .groupByKey(_._1)
-      .flatMapGroups { (_: Long, it: Iterator[(Long, Long)]) =>
-        val bucket = it.map(t => bc.value(t._2)).toIndexedSeq
-        if (bucket.length < 2) Iterator.empty
-        else {
-          val out = mutable.ArrayBuffer.empty[(Long, Long, Double)]
+    val repCoords = reps.map(r => (r.toLong + 1, MinHashLSHLocal.repCoordinates(params.t, k, params.seed, r))).toArray
+    val pairs = CPSJoinSpark.parallelIds(spark, bc)
+      .flatMap { id =>
+        val mh = bc.value(id).mh
+        repCoords.iterator.map { case (tag, coords) => (Hashing.combine(tag, MinHashLSHLocal.bucketKey(mh, coords)), id) }
+      }
+      .groupByKey(CPSJoinSpark.bucketPartitioner(spark))
+      .flatMap { case (_, ids) =>
+        val bucket = ids.iterator.map(bc.value(_)).toIndexedSeq
+        val out = mutable.ArrayBuffer.empty[(Long, Long, Double)]
+        if (bucket.length >= 2) {
           val lh = Sketch.lambdaHat(lam, params.sketchBits, params.delta)
           Verification.bruteForcePairs(bucket, lam, lh, params.sketchBits, sink,
             (a, b, s) => { out += ((math.min(a, b), math.max(a, b), s)); () })
-          out.iterator
         }
+        out.iterator
       }
       .collect()
     pairs.iterator.map(t => (t._1, t._2) -> t._3).toMap

@@ -21,28 +21,33 @@ import scala.collection.mutable
   *  - duplicates across buckets/repetitions are removed at the end.
   *
   * The same bucket-local routines back the Spark implementation
-  * (`CPSJoinSpark`), which runs them inside `flatMapGroups` per tree node.
+  * (`CPSJoinSpark`), which runs them once per tree node on each shuffled
+  * bucket. A Spark bucket arrives in no defined order, so `bruteForceStep`
+  * depends only on the set of records in the bucket, never on their order.
   */
 object CPSJoinLocal {
 
   /** Node-level processing shared with the distributed implementation.
-    * Runs the BRUTEFORCE step on `bucket`; emits verified pairs through
-    * `emit` and returns the surviving records (empty if the bucket was fully
-    * brute-forced).
+    * Runs the BRUTEFORCE step on the bucket `input`; emits verified pairs
+    * through `emit` and returns the surviving records (empty if the bucket
+    * was fully brute-forced). The result does not depend on the order of
+    * `input`: the bucket sketch ŝ samples members in ascending-id order,
+    * and the survivors are returned in that order.
     *
     * @param useExactAvg use Algorithm 2's exact token-count average-similarity
     *                    rule over the embedded coordinates instead of the
     *                    sketch heuristic (slower; used in tests)
     */
-  def bruteForceStep(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams,
+  def bruteForceStep(input: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams,
                      nodeSeed: Long, stats: StatsSink,
                      emit: (Long, Long, Double) => Unit,
                      useExactAvg: Boolean = false): scala.collection.IndexedSeq[EmbeddedRec] = {
     val lh = Sketch.lambdaHat(lambda, p.sketchBits, p.delta)
-    if (bucket.length <= p.limit) {
-      Verification.bruteForcePairs(bucket, lambda, lh, p.sketchBits, stats, emit)
+    if (input.length <= p.limit) {
+      Verification.bruteForcePairs(input, lambda, lh, p.sketchBits, stats, emit)
       return Vector.empty
     }
+    val bucket = if (sortedById(input)) input else input.sortBy(_.id)
     val removeFlag = new Array[Boolean](bucket.length)
     if (useExactAvg) {
       // Algorithm 2 verbatim on the embedded representation: count[(i, v)]
@@ -105,6 +110,12 @@ object CPSJoinLocal {
     surv
   }
 
+  private def sortedById(bucket: scala.collection.IndexedSeq[EmbeddedRec]): Boolean = {
+    var i = 1
+    while (i < bucket.length && bucket(i - 1).id <= bucket(i).id) i += 1
+    i >= bucket.length
+  }
+
   /** Splitting coordinates for a node: each i ∈ [t] chosen independently with
     * probability 1/(λt) using a coin derived from (nodeSeed, i), so every
     * record in the node sees the same choice (Algorithm 1's shared r).
@@ -124,12 +135,13 @@ object CPSJoinLocal {
   @inline def childSeed(nodeSeed: Long, coord: Int, mhValue: Int): Long =
     Hashing.combine(nodeSeed, (coord.toLong << 32) ^ (mhValue.toLong & 0xffffffffL))
 
+  /** Seed of the root node of repetition `rep`'s tree. */
+  def rootSeed(p: CPSParams, rep: Int): Long = Hashing.mix64(p.seed + 0x9e3779b9L * (rep + 1))
+
   /** One repetition of CPSJoin (one Chosen Path tree). */
   def runRep(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams, rep: Int,
              stats: StatsSink, emit: (Long, Long, Double) => Unit,
              useExactAvg: Boolean = false): Unit = {
-    val rootSeed = Hashing.mix64(p.seed + 0x9e3779b9L * (rep + 1))
-
     def recurse(bucket: scala.collection.IndexedSeq[EmbeddedRec], nodeSeed: Long, depth: Int): Unit = {
       if (bucket.length < 2) return
       val effective =
@@ -154,7 +166,7 @@ object CPSJoinLocal {
       }
     }
 
-    recurse(recs, rootSeed, 0)
+    recurse(recs, rootSeed(p, rep), 0)
   }
 
   /** Full self-join: `p.reps` repetitions, output deduplicated.

@@ -1,33 +1,44 @@
 package repro.core
 
+import org.apache.spark.HashPartitioner
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
 import scala.collection.mutable
 
-/** One row of a Chosen Path level dataflow: either a live (bucket, record)
-  * pair for the next level (`kind = 0`, `a` = bucket path, `b` = record id)
-  * or a verified result pair (`kind = 1`, `a`/`b` = record ids, `sim` set).
-  */
-final case class LevelOut(kind: Int, a: Long, b: Long, sim: Double)
+/** One output row of a Chosen Path tree node. */
+sealed trait NodeOut extends Serializable
+
+/** Record `id` is live in the child bucket `path` at the next level. */
+final case class Live(path: Long, id: Long) extends NodeOut
+
+/** Verified result pair (`a < b`) with its exact Jaccard similarity. */
+final case class Verified(a: Long, b: Long, sim: Double) extends NodeOut
 
 /** Distributed CPSJoin as a level-synchronous Spark dataflow.
   *
-  * The Chosen Path recursion tree is evaluated breadth-first: level k is a
-  * `Dataset[(path, id)]` of live (tree-node, record) memberships. Each level
-  * shuffles rows by bucket (`groupByKey(path)`) and runs the node-local
-  * BRUTEFORCE step (`CPSJoinLocal.bruteForceStep` — sketch-based average
-  * similarity estimation, sketch-filtered verification) inside
-  * `flatMapGroups`, emitting verified result pairs and exploding survivors
-  * into child buckets on the sampled minhash coordinates. This matches the
-  * "hash into buckets via sketch → shuffle/group by bucket → verify
-  * candidates" dataflow shape while keeping the paper's adaptive stopping
-  * rule intact.
+  * The Chosen Path recursion tree is evaluated breadth-first: level k is an
+  * `RDD[(path, id)]` of live (tree-node, record) memberships. Each level
+  * shuffles its rows by bucket (`groupByKey` over a `HashPartitioner` with
+  * `spark.sql.shuffle.partitions` partitions) and runs the node-local
+  * BRUTEFORCE step (`CPSJoinLocal.bruteForceStep`: sketch-based average
+  * similarity estimation, sketch-filtered verification) on each group,
+  * emitting verified pairs and exploding survivors into child buckets on the
+  * sampled minhash coordinates.
+  *
+  * Each level's output is persisted, and one `count` of its live rows both
+  * materialises it and decides whether another level runs. Verified pairs
+  * stay on the executors until every level is done; one final job unions
+  * them, deduplicates them and collects the result. A run of d levels is
+  * therefore d + 1 Spark jobs. Root rows are built on the executors from the
+  * sorted ids and the per-repetition root seeds.
   *
   * All node randomness is derived deterministically from the 64-bit node
-  * path (seed), so for equal parameters this implementation explores exactly
-  * the same tree — and reports exactly the same pairs — as `CPSJoinLocal`
-  * (a property the tests assert).
+  * path (seed), and the node step does not depend on the order in which a
+  * bucket's rows arrive, so for equal parameters this implementation explores
+  * exactly the same tree, and reports exactly the same pairs and counters, as
+  * `CPSJoinLocal` (a property the tests assert).
   *
   * Record payloads (tokens, minhash vector, sketch) are broadcast once; the
   * shuffled rows are two longs each.
@@ -39,49 +50,43 @@ final class CPSJoinSpark(
     p: CPSParams,
     stats: StatsSink = NullStats,
 ) extends Serializable {
-  import spark.implicits._
 
   /** Run repetitions `reps` (tree roots) and return deduplicated result
     * pairs (id1 < id2) with exact Jaccard similarity.
     */
   def run(reps: Seq[Int]): Map[(Long, Long), Double] = {
-    val ids = payload.value.keys.toSeq.sorted
-    val roots: Seq[(Long, Long)] = for {
-      r <- reps
-      rootSeed = repro.util.Hashing.mix64(p.seed + 0x9e3779b9L * (r + 1))
-      id <- ids
-    } yield (rootSeed, id)
-
-    val results = mutable.HashMap.empty[(Long, Long), Double]
-    var level: Dataset[(Long, Long)] = spark.createDataset(roots)
-    var depth = 0
-    var live = roots.nonEmpty
+    if (reps.isEmpty) return Map.empty
     val bc = payload
     val lam = lambda
     val params = p
     val sink = stats
-    var prev: Dataset[LevelOut] = null
-    while (live) {
-      val atCap = depth >= params.maxDepth
-      val out = level
-        .groupByKey(_._1)
-        .flatMapGroups { (path: Long, it: Iterator[(Long, Long)]) =>
-          CPSJoinSpark.processNode(path, it.map(_._2), bc.value, lam, params, atCap, sink)
-        }
-        .persist(StorageLevel.MEMORY_AND_DISK)
-      for (o <- out.filter(_.kind == 1).collect())
-        results.update((math.min(o.a, o.b), math.max(o.a, o.b)), o.sim)
-      val next = out.filter(_.kind == 0).map(o => (o.a, o.b))
-      val hasNext = !next.isEmpty // early-exit job, cheaper than count()
-      if (prev != null) prev.unpersist(blocking = false)
-      level.unpersist(blocking = false)
-      prev = out
-      level = next
-      live = hasNext
-      depth += 1
-    }
-    if (prev != null) prev.unpersist(blocking = false)
-    results.toMap
+    val rootSeeds = reps.map(CPSJoinLocal.rootSeed(params, _)).toArray
+    val part = CPSJoinSpark.bucketPartitioner(spark)
+    // The map side of each shuffle reads many small partitions; one task per
+    // core instead of one per partition saves most of its scheduling cost.
+    val slots = spark.sparkContext.defaultParallelism
+    var level: RDD[(Long, Long)] =
+      CPSJoinSpark.parallelIds(spark, bc).flatMap(id => rootSeeds.iterator.map(s => (s, id)))
+    val outs = mutable.ArrayBuffer.empty[RDD[NodeOut]]
+    try {
+      var live = true
+      while (live) {
+        val atCap = outs.length >= params.maxDepth
+        val out = level.coalesce(slots).groupByKey(part)
+          .flatMap { case (path, ids) =>
+            CPSJoinSpark.processNode(path, ids.iterator, bc.value, lam, params, atCap, sink)
+          }
+          .persist(StorageLevel.MEMORY_AND_DISK)
+        outs += out
+        level = out.collect { case Live(path, id) => (path, id) }
+        live = level.count() > 0
+      }
+      spark.sparkContext.union(outs.toSeq).coalesce(slots)
+        .collect { case Verified(a, b, s) => ((a, b), s) }
+        .reduceByKey(part, (s, _) => s)
+        .collect()
+        .toMap
+    } finally outs.foreach(_.unpersist(blocking = false))
   }
 }
 
@@ -98,16 +103,24 @@ object CPSJoinSpark {
     spark.sparkContext.broadcast(embedded.iterator.map(r => r.id -> r).toMap)
   }
 
+  /** Partitioner of the bucket shuffles, sized by `spark.sql.shuffle.partitions`. */
+  def bucketPartitioner(spark: SparkSession): HashPartitioner =
+    new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
+
+  /** The payload's record ids in ascending order, as an RDD. */
+  def parallelIds(spark: SparkSession, payload: Broadcast[Map[Long, EmbeddedRec]]): RDD[Long] =
+    spark.sparkContext.parallelize(payload.value.keys.toArray.sorted.toSeq)
+
   /** Bucket-local work for one tree node: BRUTEFORCE step then splitting.
     * Mirrors `CPSJoinLocal.recurse` one level at a time.
     */
   def processNode(path: Long, idIt: Iterator[Long], dict: Map[Long, EmbeddedRec],
                   lambda: Double, p: CPSParams, atDepthCap: Boolean,
-                  stats: StatsSink): Iterator[LevelOut] = {
+                  stats: StatsSink): Iterator[NodeOut] = {
     val bucket = idIt.map(dict(_)).toIndexedSeq
     if (bucket.length < 2) return Iterator.empty
-    val out = mutable.ArrayBuffer.empty[LevelOut]
-    val emit = (a: Long, b: Long, s: Double) => { out += LevelOut(1, a, b, s); () }
+    val out = mutable.ArrayBuffer.empty[NodeOut]
+    val emit = (a: Long, b: Long, s: Double) => { out += Verified(math.min(a, b), math.max(a, b), s); () }
     val effective = if (atDepthCap) p.copy(limit = Int.MaxValue) else p
     val survivors = CPSJoinLocal.bruteForceStep(bucket, lambda, effective, path, stats, emit)
     if (survivors.length >= 2) {
@@ -118,7 +131,7 @@ object CPSJoinSpark {
         val children = mutable.HashMap.empty[Int, Int]
         for (x <- survivors) children.update(x.mh(c), children.getOrElse(x.mh(c), 0) + 1)
         for (x <- survivors; if children(x.mh(c)) >= 2)
-          out += LevelOut(0, CPSJoinLocal.childSeed(path, c, x.mh(c)), x.id, Double.NaN)
+          out += Live(CPSJoinLocal.childSeed(path, c, x.mh(c)), x.id)
         ci += 1
       }
     }

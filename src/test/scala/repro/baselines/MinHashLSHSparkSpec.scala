@@ -25,6 +25,19 @@ class MinHashLSHSparkSpec extends SparkSpec {
     } finally bc.destroy()
   }
 
+  test("accumulator counters equal the local counters (same seeds)") {
+    val recs = TestUtil.randomRecords(300, 12, 60, seed = 113, spread = 4)
+    val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
+    try {
+      val embedded = bc.value.values.toIndexedSeq
+      val local = new LocalStats
+      for (r <- 0 until 5) MinHashLSHLocal.runRep(embedded, 0.5, 3, r, p, local, (_, _, _) => ())
+      val (sink, read) = AccumStats.create(spark, "mh-counters")
+      new MinHashLSHSpark(spark, bc, 0.5, 3, p, sink).run(0 until 5)
+      assert(read() == ((local.pre, local.cand, local.res)))
+    } finally bc.destroy()
+  }
+
   for ((name, lambda) <- Seq(("DBLP", 0.5), ("UNIFORM005", 0.7)))
     test(s"recall >= 0.8 and precision = 1 on $name at λ=$lambda") {
       val recs = Datasets.byName(name).gen(scale = 0.2, seed = 112).toIndexedSeq

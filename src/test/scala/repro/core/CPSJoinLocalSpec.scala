@@ -109,6 +109,31 @@ class CPSJoinLocalSpec extends AnyFunSuite {
     assert(strong.subsetOf(emitted))
   }
 
+  test("bruteForceStep gives the same survivors, pairs and counters on a bucket and its reverse") {
+    // A Spark bucket arrives in shuffle order, so the step must not depend on
+    // it. Record i keeps 20 - (i % 16) tokens of a shared base, so estimates
+    // spread across (1-ε)λ, where a differently sampled ŝ flips which
+    // records are removed.
+    val recs = (0 until 120).map { i =>
+      val own = i % 16
+      SetRec(i.toLong, ((own until 20) ++ (0 until own).map(j => 100 + 20 * i + j)).toArray.sorted)
+    }
+    val bucket = EmbeddedRec.embedAll(recs, new MinHasher(64, 4, seed = 3)).toIndexedSeq
+    def step(b: IndexedSeq[EmbeddedRec]) = {
+      val stats = new LocalStats
+      val emitted = scala.collection.mutable.ArrayBuffer.empty[(Long, Long, Double)]
+      val surv = CPSJoinLocal.bruteForceStep(b, 0.5, p.copy(limit = 10), 11L, stats,
+        (a, c, s) => emitted += ((math.min(a, c), math.max(a, c), s)))
+      (surv.map(_.id).toSet, emitted.sorted, (stats.pre, stats.cand, stats.res))
+    }
+    val (fwdSurv, fwdPairs, fwdStats) = step(bucket)
+    val (revSurv, revPairs, revStats) = step(bucket.reverse)
+    assert(fwdSurv.nonEmpty && fwdSurv.size < bucket.length, "the bucket must be split, not fully brute-forced")
+    assert(fwdSurv == revSurv)
+    assert(fwdPairs == revPairs)
+    assert(fwdStats == revStats)
+  }
+
   // Recall/precision across dataset archetypes and thresholds.
   for {
     name <- Seq("DBLP", "NETFLIX", "UNIFORM005", "BMS-POS")

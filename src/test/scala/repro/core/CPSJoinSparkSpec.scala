@@ -53,6 +53,33 @@ class CPSJoinSparkSpec extends SparkSpec {
     } finally bc.destroy()
   }
 
+  test("accumulator counters equal the local counters (same seeds)") {
+    // A level recomputed because it was not persisted before its action
+    // would add its counts twice.
+    val recs = TestUtil.randomRecords(400, 15, 100, seed = 97, spread = 5)
+    val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
+    try {
+      val embedded = bc.value.values.toIndexedSeq.sortBy(_.id)
+      val local = new LocalStats
+      for (r <- 0 until 4) CPSJoinLocal.runRep(embedded, 0.5, p, r, local, (_, _, _) => ())
+      val (sink, read) = AccumStats.create(spark, "cps-counters")
+      new CPSJoinSpark(spark, bc, 0.5, p, sink).run(0 until 4)
+      assert(read() == ((local.pre, local.cand, local.res)))
+    } finally bc.destroy()
+  }
+
+  test("run leaves no persisted RDDs behind, and no repetitions give no pairs") {
+    val recs = Datasets.byName("DBLP").gen(scale = 0.16, seed = 98).toIndexedSeq
+    val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
+    try {
+      val join = new CPSJoinSpark(spark, bc, 0.5, p)
+      val before = spark.sparkContext.getPersistentRDDs.keySet
+      assert(join.run(0 until 3).nonEmpty)
+      assert(spark.sparkContext.getPersistentRDDs.keySet.subsetOf(before))
+      assert(join.run(Seq.empty).isEmpty)
+    } finally bc.destroy()
+  }
+
   test("empty and single-record inputs yield no pairs") {
     assert(CPSJoinSpark.selfJoin(spark, IndexedSeq(SetRec(0, Array(1, 2))), 0.5, p).isEmpty)
   }
