@@ -24,13 +24,13 @@ import scala.collection.mutable
   */
 object AllPairsLocal {
 
-  /** Probing prefix length for a record of `size` tokens. */
+  /** Probing prefix length for a record of `size` tokens (0 for an empty record). */
   def probingPrefixLength(size: Int, lambda: Double): Int =
-    size - math.ceil(lambda * size - 1e-9).toInt + 1
+    math.min(size, size - math.ceil(lambda * size - 1e-9).toInt + 1)
 
-  /** Indexing (mid-)prefix length for a record of `size` tokens. */
+  /** Indexing (mid-)prefix length for a record of `size` tokens (0 for an empty record). */
   def indexingPrefixLength(size: Int, lambda: Double): Int =
-    size - math.ceil(2.0 * lambda / (1.0 + lambda) * size - 1e-9).toInt + 1
+    math.min(size, size - math.ceil(2.0 * lambda / (1.0 + lambda) * size - 1e-9).toInt + 1)
 
   /** Rank tokens by ascending frequency (ties by token id) over `recs`. */
   def tokenRanks(recs: scala.collection.IndexedSeq[SetRec]): mutable.HashMap[Int, Int] = {

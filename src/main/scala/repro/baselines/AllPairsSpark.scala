@@ -1,38 +1,38 @@
 package repro.baselines
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
-import repro.core.SetRec
+import repro.core.{CPSJoinSpark, SetRec}
+import scala.collection.mutable
 
-/** Distributed exact ALLPAIRS self-join on the DataFrame API (Catalyst).
+/** Distributed exact ALLPAIRS self-join: prefix filtering over pair RDDs
+  * (the prefix-grouping dataflow of Vernica, Carey & Li, SIGMOD 2010).
   *
-  * The classic prefix-filtering dataflow (Vernica-style):
-  *  1. token frequencies + global rarest-first ranking (window `row_number`);
-  *  2. records mapped into rank space (ascending rank = rarest-first);
-  *  3. probing-prefix explode (prefix length |x| − ⌈λ|x|⌉ + 1 — any pair
-  *     with J ≥ λ shares a probing-prefix token under a common order);
-  *  4. token equi-join with id ordering and symmetric size filter
-  *     λ·max(|x|,|y|) ≤ min(|x|,|y|);
-  *  5. pair dedup, re-join token arrays, exact Jaccard verification.
+  * One Spark job with three shuffles, each over `CPSJoinSpark.bucketPartitioner`:
+  *  1. `(token, id)` rows grouped by token. The group size is the token's
+  *     frequency, and the token is re-keyed as a `Long` that sorts like
+  *     `(freq, token)`, so ascending key is the rarest-first global order
+  *     without a global rank;
+  *  2. `(id, key)` rows grouped by id: each record becomes its sorted key
+  *     array (a bijection of its tokens, so similarities are unchanged);
+  *  3. each record sent to the groups of its probing-prefix keys (prefix
+  *     length |x| − ⌈λ|x|⌉ + 1: any pair with J ≥ λ shares a probing-prefix
+  *     key). In a group, every pair passing the size filter
+  *     λ·max(|x|,|y|) ≤ min(|x|,|y|) is a pre-candidate, and it is verified
+  *     (exact Jaccard) only in the group of its first common probing-prefix
+  *     key, so each candidate is verified exactly once.
   *
-  * Returns the result pairs plus Table IV counters: pre-candidates (token
-  * join matches before dedup) and candidates (distinct pairs verified).
+  * Table IV counters: pre-candidates (pairs per shared probing-prefix key)
+  * and candidates (distinct pairs verified). Each partition's counts travel
+  * in its output row and are summed on the driver, so a retried task cannot
+  * count twice. Records with no tokens take part in no pair.
   */
 object AllPairsSpark {
 
   final case class JoinResult(pairs: DataFrame, preCandidates: Long, candidates: Long)
 
-  private val jaccardUdf = udf { (x: Seq[Int], y: Seq[Int]) =>
-    val xs = x.toArray; val ys = y.toArray
-    var i = 0; var j = 0; var inter = 0
-    while (i < xs.length && j < ys.length) {
-      if (xs(i) == ys(j)) { inter += 1; i += 1; j += 1 }
-      else if (xs(i) < ys(j)) i += 1
-      else j += 1
-    }
-    inter.toDouble / (xs.length + ys.length - inter)
-  }
+  /** Output of one prefix-group partition: its result pairs and counters. */
+  private final case class PartOut(pairs: Array[(Long, Long, Double)], pre: Long, cand: Long)
 
   /** Input records as a DataFrame (id: long, tokens: array<int>). */
   def toDF(spark: SparkSession, recs: Seq[SetRec]): DataFrame = {
@@ -40,56 +40,106 @@ object AllPairsSpark {
     recs.map(r => (r.id, r.tokens.toSeq)).toDF("id", "tokens")
   }
 
-  /** Exact self-join of (id, tokens) records at threshold `lambda`. */
+  /** Exact self-join of (id, tokens) records at threshold `lambda`; the
+    * pairs are a DataFrame (id1 < id2, sim) over the collected result.
+    */
   def selfJoin(spark: SparkSession, records: DataFrame, lambda: Double): JoinResult = {
-    require(lambda > 0 && lambda < 1)
-    val exploded = records.select(col("id"), explode(col("tokens")).as("token"))
-    // Rarest-first global token order; rank 0 is the rarest token.
-    val ranks = exploded
-      .groupBy("token").agg(count(lit(1)).as("freq"))
-      .withColumn("rank", row_number().over(Window.orderBy(col("freq"), col("token"))) - 1)
-    val ranked = exploded
-      .join(ranks, "token")
-      .groupBy("id")
-      .agg(sort_array(collect_list(col("rank"))).as("rtokens"))
-      .withColumn("size", size(col("rtokens")))
-    // Probing prefix: first |x| − ceil(λ|x|) + 1 rank-space tokens.
-    val prefixLen = (col("size") - ceil(col("size") * lambda - 1e-9) + 1).cast("int")
-    val prefixes = ranked
-      .select(col("id"), col("size"), explode(slice(col("rtokens"), lit(1), prefixLen)).as("ptoken"))
-    val a = prefixes.select(col("id").as("id1"), col("size").as("size1"), col("ptoken"))
-    val b = prefixes.select(col("id").as("id2"), col("size").as("size2"), col("ptoken"))
-    val joined = a.join(b,
-      a("ptoken") === b("ptoken") &&
-        col("id1") < col("id2") &&
-        greatest(col("size1"), col("size2")) * lambda <= least(col("size1"), col("size2")) + 1e-9)
-      .select("id1", "id2")
-      .persist()
-    val preCandidates = joined.count()
-    val candidatePairs = joined.distinct().persist()
-    val candidates = candidatePairs.count()
-    val withTokens = candidatePairs
-      .join(ranked.select(col("id").as("id1"), col("rtokens").as("t1")), "id1")
-      .join(ranked.select(col("id").as("id2"), col("rtokens").as("t2")), "id2")
-    val pairs = withTokens
-      .withColumn("sim", jaccardUdf(col("t1"), col("t2")))
-      .filter(col("sim") >= lambda - 1e-12)
-      .select("id1", "id2", "sim")
-    val out = pairs.persist()
-    out.count() // materialize before unpersisting the lineage
-    joined.unpersist(blocking = false)
-    candidatePairs.unpersist(blocking = false)
-    JoinResult(out, preCandidates, candidates)
+    val recs = records.select("id", "tokens").rdd.map(r => SetRec(r.getLong(0), r.getSeq[Int](1).toArray))
+    val (pairs, pre, cand) = run(spark, recs, lambda)
+    val rows = pairs.iterator.map { case ((a, b), s) => (a, b, s) }.toSeq
+    JoinResult(spark.createDataFrame(rows).toDF("id1", "id2", "sim"), pre, cand)
   }
 
-  /** Convenience: self-join raw records, collect result pairs to the driver. */
+  /** Self-join raw records and collect the result pairs to the driver. */
   def selfJoinCollect(spark: SparkSession, recs: scala.collection.IndexedSeq[SetRec],
-                      lambda: Double): (Map[(Long, Long), Double], Long, Long) = {
-    val res = selfJoin(spark, toDF(spark, recs.toSeq), lambda)
-    val m = res.pairs.collect().iterator
-      .map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2))
-      .toMap
-    res.pairs.unpersist(blocking = false)
-    (m, res.preCandidates, res.candidates)
+                      lambda: Double): (Map[(Long, Long), Double], Long, Long) =
+    run(spark, spark.sparkContext.parallelize(recs.toSeq), lambda)
+
+  /** The join itself: result pairs (id1 < id2) with their similarity, the
+    * pre-candidate count and the candidate count.
+    */
+  private def run(spark: SparkSession, recs: RDD[SetRec],
+                  lambda: Double): (Map[(Long, Long), Double], Long, Long) = {
+    require(lambda > 0 && lambda < 1)
+    val part = CPSJoinSpark.bucketPartitioner(spark)
+    val keyed = recs
+      .flatMap(r => r.tokens.iterator.map(t => (t, r.id)))
+      .groupByKey(part)
+      .flatMap { case (t, ids) =>
+        val key = orderKey(ids.size, t)
+        ids.iterator.map(id => (id, key))
+      }
+      .groupByKey(part)
+      .map { case (id, keys) => (id, keys.toArray.sorted) }
+    val outs = keyed
+      .flatMap { case (id, keys) =>
+        val pp = AllPairsLocal.probingPrefixLength(keys.length, lambda)
+        keys.iterator.take(pp).map(k => (k, (id, keys)))
+      }
+      .groupByKey(part)
+      .mapPartitions(groups => Iterator(joinGroups(groups, lambda)))
+      .collect()
+    (outs.iterator.flatMap(_.pairs).map { case (a, b, s) => (a, b) -> s }.toMap,
+     outs.iterator.map(_.pre).sum, outs.iterator.map(_.cand).sum)
+  }
+
+  /** A `Long` that orders like `(freq, token)` for every `freq ≥ 0` and every
+    * `Int` token: the frequency in the high word, the token with its sign bit
+    * flipped (signed order as unsigned order) in the low word.
+    */
+  def orderKey(freq: Int, token: Int): Long =
+    (freq.toLong << 32) | ((token ^ Int.MinValue).toLong & 0xffffffffL)
+
+  /** Pairs and counters of one partition's prefix groups. */
+  private def joinGroups(groups: Iterator[(Long, Iterable[(Long, Array[Long])])],
+                         lambda: Double): PartOut = {
+    val out = mutable.ArrayBuffer.empty[(Long, Long, Double)]
+    var pre = 0L
+    var cand = 0L
+    for ((key, members) <- groups) {
+      val recs = members.toArray
+      var i = 0
+      while (i < recs.length) {
+        var j = i + 1
+        while (j < recs.length) {
+          val (x, y) = if (recs(i)._1 < recs(j)._1) (recs(i), recs(j)) else (recs(j), recs(i))
+          val sx = x._2.length
+          val sy = y._2.length
+          if (math.max(sx, sy) * lambda <= math.min(sx, sy) + 1e-9) {
+            pre += 1
+            if (firstCommonKey(x._2, y._2) == key) {
+              cand += 1
+              val inter = intersectionSize(x._2, y._2)
+              val sim = inter.toDouble / (sx + sy - inter)
+              if (sim >= lambda - 1e-12) out += ((x._1, y._1, sim))
+            }
+          }
+          j += 1
+        }
+        i += 1
+      }
+    }
+    PartOut(out.toArray, pre, cand)
+  }
+
+  /** Smallest key two sorted key arrays share. Called on two records of one
+    * prefix group, which share the group's key, so it is their first common
+    * probing-prefix key: a prefix holds a record's smallest keys.
+    */
+  private def firstCommonKey(x: Array[Long], y: Array[Long]): Long = {
+    var i = 0; var j = 0
+    while (x(i) != y(j)) if (x(i) < y(j)) i += 1 else j += 1
+    x(i)
+  }
+
+  /** |x ∩ y| of two sorted key arrays (sorted-merge). */
+  private def intersectionSize(x: Array[Long], y: Array[Long]): Int = {
+    var i = 0; var j = 0; var c = 0
+    while (i < x.length && j < y.length) {
+      if (x(i) == y(j)) { c += 1; i += 1; j += 1 }
+      else if (x(i) < y(j)) i += 1
+      else j += 1
+    }
+    c
   }
 }

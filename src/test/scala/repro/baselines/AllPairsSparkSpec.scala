@@ -1,9 +1,10 @@
 package repro.baselines
 
 import repro.{Oracle, SparkSpec, TestUtil}
-import repro.core.SetRec
+import repro.core.{LocalStats, SetRec}
 import repro.data.Datasets
 import org.apache.spark.sql.DataFrame
+import scala.collection.mutable
 
 class AllPairsSparkSpec extends SparkSpec {
 
@@ -60,6 +61,74 @@ class AllPairsSparkSpec extends SparkSpec {
     val (pairs, pre, cand) = AllPairsSpark.selfJoinCollect(spark, recs, 0.5)
     assert(pre >= cand && cand >= pairs.size)
     assert(pairs.nonEmpty, "dense universe should produce results")
+  }
+
+  for (lambda <- Seq(0.5, 0.8))
+    test(s"counters keep their definition under the (freq, token) order at λ=$lambda") {
+      // pre: per probing-prefix token, the pairs sharing it that pass the
+      // size filter; cand: the distinct such pairs.
+      val recs = TestUtil.randomRecords(300, 10, 80, seed = 105, spread = 5)
+      val ranks = AllPairsLocal.tokenRanks(recs)
+      val byToken = mutable.HashMap.empty[Int, mutable.ArrayBuffer[(Long, Int)]]
+      for (r <- recs) {
+        val ts = r.tokens.map(ranks).sorted
+        for (t <- ts.take(AllPairsLocal.probingPrefixLength(ts.length, lambda)))
+          byToken.getOrElseUpdate(t, mutable.ArrayBuffer.empty) += ((r.id, ts.length))
+      }
+      var pre = 0L
+      val cand = mutable.HashSet.empty[(Long, Long)]
+      for (members <- byToken.values; (a, sa) <- members; (b, sb) <- members
+           if a < b && math.max(sa, sb) * lambda <= math.min(sa, sb) + 1e-9) {
+        pre += 1
+        cand += ((a, b))
+      }
+      val (_, gotPre, gotCand) = AllPairsSpark.selfJoinCollect(spark, recs, lambda)
+      assert((gotPre, gotCand) == ((pre, cand.size.toLong)))
+    }
+
+  test("orderKey orders like (freq, token) for every Int token") {
+    val tokens = Seq(Int.MinValue, Int.MinValue + 1, -2, -1, 0, 1, 2, Int.MaxValue - 1, Int.MaxValue)
+    val pairs = for (f <- Seq(0, 1, 2, 1000, Int.MaxValue); t <- tokens) yield (f, t)
+    val byKey = pairs.sortBy { case (f, t) => AllPairsSpark.orderKey(f, t) }
+    assert(byKey == pairs.sorted)
+    assert(pairs.map { case (f, t) => AllPairsSpark.orderKey(f, t) }.distinct.size == pairs.size)
+  }
+
+  test("the number of shuffle partitions changes no pair, similarity or counter") {
+    val recs = TestUtil.randomRecords(300, 12, 40, seed = 106, spread = 4)
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    try {
+      val runs = Seq("1", "64").map { n =>
+        spark.conf.set(key, n)
+        AllPairsSpark.selfJoinCollect(spark, recs, 0.5)
+      }
+      assert(runs(0)._1.nonEmpty)
+      assert(runs(0) == runs(1))
+    } finally spark.conf.set(key, saved)
+  }
+
+  test("selfJoinCollect leaves no persisted RDDs behind") {
+    val recs = TestUtil.randomRecords(200, 12, 60, seed = 107, spread = 4)
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    assert(AllPairsSpark.selfJoinCollect(spark, recs, 0.5)._1.nonEmpty)
+    assert(spark.sparkContext.getPersistentRDDs.keySet.subsetOf(before))
+  }
+
+  test("a record with no tokens joins nothing, on both engines") {
+    val recs = IndexedSeq(SetRec(1, Array.empty[Int]), SetRec(2, Array(1, 2)), SetRec(3, Array(1, 2)))
+    val expected = Map((2L, 3L) -> 1.0)
+    assert(AllPairsLocal.selfJoin(recs, 0.5) == expected)
+    assert(AllPairsSpark.selfJoinCollect(spark, recs, 0.5)._1 == expected)
+  }
+
+  test("zero and one records give no pairs and zero counters, on both engines") {
+    for (recs <- Seq(IndexedSeq.empty[SetRec], IndexedSeq(SetRec(0, Array(1, 2))))) {
+      val stats = new LocalStats
+      assert(AllPairsLocal.selfJoin(recs, 0.5, stats).isEmpty)
+      assert((stats.pre, stats.cand, stats.res) == ((0L, 0L, 0L)))
+      assert(AllPairsSpark.selfJoinCollect(spark, recs, 0.5) == ((Map.empty, 0L, 0L)))
+    }
   }
 
   test("exactness on a dataset with heavy duplicates") {
