@@ -43,10 +43,13 @@ object AllPairsLocal {
     ranks
   }
 
-  /** Exact self-join; returns pairs (id1 < id2) with their similarity. */
+  /** Exact self-join of records with distinct ids; returns pairs (id1 < id2)
+    * with their similarity.
+    */
   def selfJoin(recs: scala.collection.IndexedSeq[SetRec], lambda: Double,
                stats: StatsSink = NullStats): Map[(Long, Long), Double] = {
     require(lambda > 0 && lambda < 1)
+    SetRec.requireDistinctIds(recs)
     if (recs.length < 2) return Map.empty
     val ranks = tokenRanks(recs)
     // Map every record into rank space (bijective, so similarities are

@@ -50,10 +50,12 @@ object AllPairsSpark {
     JoinResult(spark.createDataFrame(rows).toDF("id1", "id2", "sim"), pre, cand)
   }
 
-  /** Self-join raw records and collect the result pairs to the driver. */
+  /** Self-join raw records (distinct ids) and collect the result pairs to the driver. */
   def selfJoinCollect(spark: SparkSession, recs: scala.collection.IndexedSeq[SetRec],
-                      lambda: Double): (Map[(Long, Long), Double], Long, Long) =
+                      lambda: Double): (Map[(Long, Long), Double], Long, Long) = {
+    SetRec.requireDistinctIds(recs)
     run(spark, spark.sparkContext.parallelize(recs.toSeq), lambda)
+  }
 
   /** The join itself: result pairs (id1 < id2) with their similarity, the
     * pre-candidate count and the candidate count.

@@ -58,15 +58,23 @@ object MinHashLSHLocal {
     kRange.filter(_ <= t).minBy(k => repetitionsFor(phi, lambda, k) * repCost(recs, k, seed))
   }
 
+  /** One LSH bucket, shared by the local and Spark engines: a bucket of at
+    * least two records is brute-forced with the sketch-filtered verifier at
+    * λ̂, emitting its result pairs (id1 < id2).
+    */
+  def bucketStep(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams,
+                 stats: StatsSink, emit: (Long, Long, Double) => Unit): Unit =
+    if (bucket.length >= 2)
+      Verification.bruteForcePairs(bucket, lambda, Sketch.lambdaHat(lambda, p.sketchBits, p.delta),
+        p.sketchBits, stats, emit)
+
   /** One repetition: split into buckets, brute-force each bucket. */
   def runRep(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, k: Int, rep: Int,
              p: CPSParams, stats: StatsSink, emit: (Long, Long, Double) => Unit): Unit = {
     val coords = repCoordinates(p.t, k, p.seed, rep)
-    val lh = Sketch.lambdaHat(lambda, p.sketchBits, p.delta)
     val buckets = mutable.HashMap.empty[Long, mutable.ArrayBuffer[EmbeddedRec]]
     for (r <- recs) buckets.getOrElseUpdate(bucketKey(r.mh, coords), mutable.ArrayBuffer.empty) += r
-    for ((_, bucket) <- buckets if bucket.length >= 2)
-      Verification.bruteForcePairs(bucket, lambda, lh, p.sketchBits, stats, emit)
+    for (bucket <- buckets.valuesIterator) bucketStep(bucket, lambda, p, stats, emit)
   }
 
   /** Full self-join at recall target φ with the worst-case repetition count
@@ -79,7 +87,7 @@ object MinHashLSHLocal {
     val k = kOverride.getOrElse(chooseK(recs, lambda, phi, p.seed))
     val reps = repetitionsFor(phi, lambda, k)
     val out = mutable.HashMap.empty[(Long, Long), Double]
-    val emit = (a: Long, b: Long, s: Double) => { out.update((math.min(a, b), math.max(a, b)), s); () }
+    val emit = (a: Long, b: Long, s: Double) => { out.update((a, b), s); () }
     var r = 0
     while (r < reps) { runRep(recs, lambda, k, r, p, stats, emit); r += 1 }
     out.toMap

@@ -13,9 +13,10 @@ import scala.collection.mutable
   * and the broadcast payload. Repetitions are batched into a single shuffle
   * by prefixing the bucket key with the repetition index. The `(key, id)`
   * rows are grouped with the same pair-RDD bucket shuffle as `CPSJoinSpark`,
-  * and every bucket is brute-forced with the same sketch-filtered verifier
-  * as CPSJoin, so a run is one Spark job. The key length k is chosen on the
-  * driver with the cost-based rule of §V-B (`MinHashLSHLocal.chooseK`).
+  * and every bucket runs the local engine's bucket step
+  * (`MinHashLSHLocal.bucketStep`), so a run is one Spark job. The key length
+  * k is chosen on the driver with the cost-based rule of §V-B
+  * (`MinHashLSHLocal.chooseK`).
   */
 final class MinHashLSHSpark(
     spark: SparkSession,
@@ -40,13 +41,9 @@ final class MinHashLSHSpark(
       }
       .groupByKey(CPSJoinSpark.bucketPartitioner(spark))
       .flatMap { case (_, ids) =>
-        val bucket = ids.iterator.map(bc.value(_)).toIndexedSeq
         val out = mutable.ArrayBuffer.empty[(Long, Long, Double)]
-        if (bucket.length >= 2) {
-          val lh = Sketch.lambdaHat(lam, params.sketchBits, params.delta)
-          Verification.bruteForcePairs(bucket, lam, lh, params.sketchBits, sink,
-            (a, b, s) => { out += ((math.min(a, b), math.max(a, b), s)); () })
-        }
+        MinHashLSHLocal.bucketStep(ids.iterator.map(bc.value(_)).toIndexedSeq, lam, params, sink,
+          (a, b, s) => { out += ((a, b, s)); () })
         out.iterator
       }
       .collect()
@@ -62,6 +59,7 @@ object MinHashLSHSpark {
     val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
     try {
       val embedded = bc.value.values.toIndexedSeq
+      if (embedded.length < 2) return Map.empty
       val k = MinHashLSHLocal.chooseK(embedded, lambda, phi, p.seed)
       val reps = MinHashLSHLocal.repetitionsFor(phi, lambda, k)
       new MinHashLSHSpark(spark, bc, lambda, k, p, stats).run(0 until reps)

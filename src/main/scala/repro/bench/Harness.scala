@@ -73,32 +73,63 @@ object Harness {
     out.toSeq
   }
 
+  /** The CP and MH joins of one engine (local or Spark) over one embedding
+    * of a dataset: repetition indices in, deduplicated pairs out.
+    * `cpCounts` reads the CP counters (pre-candidates, candidates, results).
+    */
+  private final case class Joins(
+      embedded: IndexedSeq[EmbeddedRec],
+      cp: Seq[Int] => Map[(Long, Long), Double],
+      cpCounts: () => (Long, Long, Long),
+      mh: Int => Seq[Int] => Map[(Long, Long), Double])
+
+  /** CP in `repBatches(maxReps)` until recall ≥ target, with its counters. */
+  private def cpToRecall(j: Joins, truth: Set[(Long, Long)], target: Double, maxReps: Int): AlgoRun = {
+    val run = repeatToRecall(truth, target, repBatches(maxReps), j.cp)
+    val (pre, cand, _) = j.cpCounts()
+    run.copy(pre = pre, cand = cand)
+  }
+
+  /** The repeat-to-recall protocol of one Table II cell, for either engine:
+    * CP as in `cpToRecall`, then MH at the cost-chosen k in batches of
+    * L(k)/4, up to 4·L(k) repetitions, until recall ≥ target.
+    */
+  private def protocol(name: String, lambda: Double, all: AlgoRun, truth: Set[(Long, Long)], j: Joins,
+                       p: CPSParams, target: Double, maxReps: Int): Measurement = {
+    val cp = cpToRecall(j, truth, target, maxReps)
+    val k = MinHashLSHLocal.chooseK(j.embedded, lambda, target, p.seed)
+    val lWorst = MinHashLSHLocal.repetitionsFor(target, lambda, k)
+    val mhBatches = (0 until 4 * lWorst).grouped(math.max(1, lWorst / 4)).map(_.toSeq).toSeq
+    Measurement(name, lambda, cp, repeatToRecall(truth, target, mhBatches, j.mh(k)), all)
+  }
+
+  /** Run `body` on the Spark joins of `recs`. Preprocessing (embedding and
+    * broadcast) is untimed; the broadcast is destroyed afterwards. CP
+    * counts through accumulators.
+    */
+  private def onSpark[A](spark: SparkSession, recs: IndexedSeq[SetRec], lambda: Double,
+                         p: CPSParams)(body: Joins => A): A = {
+    val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
+    try {
+      val (stats, counts) = AccumStats.create(spark, "cp")
+      body(Joins(bc.value.values.toIndexedSeq, new CPSJoinSpark(spark, bc, lambda, p, stats).run, counts,
+        k => new MinHashLSHSpark(spark, bc, lambda, k, p).run))
+    } finally bc.destroy()
+  }
+
+  /** CPSJoin on Spark, repeated until recall ≥ target (at most 20
+    * repetitions), with its counters: the CP runs of Tables III and IV.
+    */
+  def cpOnSpark(spark: SparkSession, recs: IndexedSeq[SetRec], lambda: Double, p: CPSParams,
+                truth: Set[(Long, Long)], target: Double): AlgoRun =
+    onSpark(spark, recs, lambda, p)(cpToRecall(_, truth, target, maxReps = 20))
+
   /** Full Table II-style measurement of one (dataset, λ) cell. */
   def measure(spark: SparkSession, name: String, recs: IndexedSeq[SetRec], lambda: Double,
               p: CPSParams = CPSParams(), recallTarget: Double = 0.9,
               maxReps: Int = 20): Measurement = {
-    val (truthPairs, allRun) = runAllPairs(spark, recs, lambda)
-    val truth = truthPairs.keySet
-
-    // Preprocessing (embedding + broadcast) is shared and untimed.
-    val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
-    try {
-      val (cpStats, cpCounts) = AccumStats.create(spark, s"cp-$name-$lambda")
-      val cpJoin = new CPSJoinSpark(spark, bc, lambda, p, cpStats)
-      val cp0 = repeatToRecall(truth, recallTarget, repBatches(maxReps), reps => cpJoin.run(reps))
-      val (cpPre, cpCand, _) = cpCounts()
-      val cp = cp0.copy(pre = cpPre, cand = cpCand)
-
-      val embedded = bc.value.values.toIndexedSeq
-      val k = MinHashLSHLocal.chooseK(embedded, lambda, recallTarget, p.seed)
-      val lWorst = MinHashLSHLocal.repetitionsFor(recallTarget, lambda, k)
-      val mhJoin = new MinHashLSHSpark(spark, bc, lambda, k, p)
-      val mhBatchSize = math.max(1, lWorst / 4)
-      val mhBatches = (0 until 4 * lWorst).grouped(mhBatchSize).map(_.toSeq).toSeq
-      val mh = repeatToRecall(truth, recallTarget, mhBatches, reps => mhJoin.run(reps))
-
-      Measurement(name, lambda, cp, mh, allRun)
-    } finally bc.destroy()
+    val (truthPairs, all) = runAllPairs(spark, recs, lambda)
+    onSpark(spark, recs, lambda, p)(protocol(name, lambda, all, truthPairs.keySet, _, p, recallTarget, maxReps))
   }
 
   /** Table II cell measured with the single-threaded local engines — the
@@ -111,33 +142,20 @@ object Harness {
                    p: CPSParams = CPSParams(), recallTarget: Double = 0.9,
                    maxReps: Int = 20): Measurement = {
     val (truthPairs, allSecs) = time(AllPairsLocal.selfJoin(recs, lambda))
-    val truth = truthPairs.keySet
-    val all = AlgoRun(allSecs, 1.0, 1, truthPairs.size)
+    val embedded = EmbeddedRec.embedAll(recs, new MinHasher(p.t, p.ell, p.seed)).toIndexedSeq // untimed
+    val joins = Joins(embedded,
+      reps => collect(emit => reps.foreach(CPSJoinLocal.runRep(embedded, lambda, p, _, NullStats, emit))),
+      () => (0L, 0L, 0L),
+      k => reps => collect(emit => reps.foreach(MinHashLSHLocal.runRep(embedded, lambda, k, _, p, NullStats, emit))))
+    protocol(name, lambda, AlgoRun(allSecs, 1.0, 1, truthPairs.size), truthPairs.keySet, joins, p,
+      recallTarget, maxReps)
+  }
 
-    val hasher = new MinHasher(p.t, p.ell, p.seed) // preprocessing, untimed
-    val embedded = EmbeddedRec.embedAll(recs, hasher).toIndexedSeq
-
-    def cpBatch(reps: Seq[Int]): Map[(Long, Long), Double] = {
-      val out = mutable.HashMap.empty[(Long, Long), Double]
-      val emit = (a: Long, b: Long, s: Double) => { out.update((math.min(a, b), math.max(a, b)), s); () }
-      reps.foreach(r => CPSJoinLocal.runRep(embedded, lambda, p, r, NullStats, emit))
-      out.toMap
-    }
-    val cp = repeatToRecall(truth, recallTarget, repBatches(maxReps), cpBatch)
-
-    val k = MinHashLSHLocal.chooseK(embedded, lambda, recallTarget, p.seed)
-    val lWorst = MinHashLSHLocal.repetitionsFor(recallTarget, lambda, k)
-    def mhBatch(reps: Seq[Int]): Map[(Long, Long), Double] = {
-      val out = mutable.HashMap.empty[(Long, Long), Double]
-      val emit = (a: Long, b: Long, s: Double) => { out.update((math.min(a, b), math.max(a, b)), s); () }
-      reps.foreach(r => MinHashLSHLocal.runRep(embedded, lambda, k, r, p, NullStats, emit))
-      out.toMap
-    }
-    val mhBatchSize = math.max(1, lWorst / 4)
-    val mhBatches = (0 until 4 * lWorst).grouped(mhBatchSize).map(_.toSeq).toSeq
-    val mh = repeatToRecall(truth, recallTarget, mhBatches, mhBatch)
-
-    Measurement(name, lambda, cp, mh, all)
+  /** The deduplicated pairs a local run emits. */
+  private def collect(run: ((Long, Long, Double) => Unit) => Unit): Map[(Long, Long), Double] = {
+    val out = mutable.HashMap.empty[(Long, Long), Double]
+    run((a, b, s) => out.update((a, b), s))
+    out.toMap
   }
 
   /** Environment knobs shared by bench suites and jobs. */

@@ -3,17 +3,25 @@ package repro.bench
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.data.Datasets
-import repro.baselines._
 
 /** Drivers that regenerate each table of the paper's evaluation section.
-  * Shared by the `bench/` test suites and the `jobs/` spark-submit
-  * entrypoints; every driver prints the reproduced rows (with the paper's
-  * values alongside where they are scale-free) and returns them for
-  * programmatic use.
+  * `table` is the one dispatch behind the `bench/` suite and the
+  * `repro.jobs.TablesJob` spark-submit entrypoint; every driver returns the
+  * reproduced rows (with the paper's values alongside where they are
+  * scale-free).
   */
 object Tables {
 
   val thresholds: Seq[Double] = Seq(0.5, 0.6, 0.7, 0.8, 0.9)
+
+  /** Table `n` (1 to 4) at `scale`. Table I needs no Spark session. */
+  def table(n: Int, spark: => SparkSession, scale: Double): String = n match {
+    case 1 => table1(scale)
+    case 2 => table2(spark, scale)
+    case 3 => table3(spark, scale)
+    case 4 => table4(spark, scale)
+    case _ => throw new IllegalArgumentException(s"no table $n: expected 1, 2, 3 or 4")
+  }
 
   // ------------------------------------------------------------- Table I
 
@@ -101,14 +109,8 @@ object Tables {
       // Ground truth computed once per dataset; each configuration then runs
       // only the CPSJoin side of the repeat-until-recall protocol.
       val (truthPairs, _) = Harness.runAllPairs(spark, recs, lambda)
-      def timeWith(p: CPSParams): Double = {
-        val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
-        try {
-          val join = new CPSJoinSpark(spark, bc, lambda, p)
-          Harness.repeatToRecall(truthPairs.keySet, 0.8, Harness.repBatches(20),
-            reps => join.run(reps)).seconds
-        } finally bc.destroy()
-      }
+      def timeWith(p: CPSParams): Double =
+        Harness.cpOnSpark(spark, recs, lambda, p, truthPairs.keySet, 0.8).seconds
       val baseT = timeWith(base)
       sb ++= f"$name%-12s base(limit=100,eps=0,ell=4): $baseT%6.2f s\n"
       for (limit <- Seq(10, 100, 250, 500)) {
@@ -160,17 +162,9 @@ object Tables {
       val recs = d.gen(scale, seed)
       for (lambda <- lambdas) {
         val (truthPairs, allRun) = Harness.runAllPairs(spark, recs, lambda)
-        val p = CPSParams()
-        val bc = CPSJoinSpark.broadcastPayload(spark, recs, p)
-        try {
-          val (cpStats, cpCounts) = AccumStats.create(spark, s"t4-$lambda-${d.name}")
-          val cpJoin = new CPSJoinSpark(spark, bc, lambda, p, cpStats)
-          val cp = Harness.repeatToRecall(truthPairs.keySet, 0.9, Harness.repBatches(20),
-            reps => cpJoin.run(reps))
-          val (cpPre, cpCand, _) = cpCounts()
-          sb ++= f"${d.name}%-12s $lambda%4.1f ${allRun.pre}%10d $cpPre%10d ${allRun.cand}%10d $cpCand%10d ${truthPairs.size}%9d ${cp.results}%9d\n"
-          println(sb.result().linesIterator.toSeq.last)
-        } finally bc.destroy()
+        val cp = Harness.cpOnSpark(spark, recs, lambda, CPSParams(), truthPairs.keySet, 0.9)
+        sb ++= f"${d.name}%-12s $lambda%4.1f ${allRun.pre}%10d ${cp.pre}%10d ${allRun.cand}%10d ${cp.cand}%10d ${truthPairs.size}%9d ${cp.results}%9d\n"
+        println(sb.result().linesIterator.toSeq.last)
       }
     }
     sb.result()

@@ -20,14 +20,16 @@ import scala.collection.mutable
   *    threshold λ̂ (false-negative probability δ) before exact verification;
   *  - duplicates across buckets/repetitions are removed at the end.
   *
-  * The same bucket-local routines back the Spark implementation
-  * (`CPSJoinSpark`), which runs them once per tree node on each shuffled
-  * bucket. A Spark bucket arrives in no defined order, so `bruteForceStep`
+  * One tree node is one call of `nodeStep`: the depth cap, BRUTEFORCE on the
+  * bucket (`bruteForceStep`) and the split of its survivors into child
+  * buckets. `runRep` recurses on it depth-first; the Spark implementation
+  * (`CPSJoinSpark`) calls the same function once per shuffled bucket, level
+  * by level. A Spark bucket arrives in no defined order, so the node step
   * depends only on the set of records in the bucket, never on their order.
   */
 object CPSJoinLocal {
 
-  /** Node-level processing shared with the distributed implementation.
+  /** BRUTEFORCE step of one tree node (Algorithm 2).
     * Runs the BRUTEFORCE step on the bucket `input`; emits verified pairs
     * through `emit` and returns the surviving records (empty if the bucket
     * was fully brute-forced). The result does not depend on the order of
@@ -98,10 +100,7 @@ object CPSJoinLocal {
         Verification.bruteForcePoint(x, surv, lambda, lh, p.sketchBits, stats, emit)
         var yj = xi + 1
         while (yj < bucket.length) {
-          if (removeFlag(yj)) {
-            val s = Verification.verify(x, bucket(yj), lambda, lh, p.sketchBits, stats)
-            if (!s.isNaN) emit(math.min(x.id, bucket(yj).id), math.max(x.id, bucket(yj).id), s)
-          }
+          if (removeFlag(yj)) Verification.verifyEmit(x, bucket(yj), lambda, lh, p.sketchBits, stats, emit)
           yj += 1
         }
       }
@@ -138,34 +137,36 @@ object CPSJoinLocal {
   /** Seed of the root node of repetition `rep`'s tree. */
   def rootSeed(p: CPSParams, rep: Int): Long = Hashing.mix64(p.seed + 0x9e3779b9L * (rep + 1))
 
+  /** One Chosen Path tree node at `depth`, shared by the local and Spark
+    * engines. A bucket of fewer than two records does nothing. Otherwise the
+    * BRUTEFORCE step runs on it (with no size limit once `depth` reaches
+    * `p.maxDepth`, so the tree ends there) and emits its verified pairs
+    * (id1 < id2); each sampled coordinate c then groups the survivors on
+    * their minhash value at c. The result is the node's children with at
+    * least two members, each with its child seed; they are grouped one
+    * coordinate at a time as the iterator advances.
+    */
+  def nodeStep(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams,
+               nodeSeed: Long, depth: Int, stats: StatsSink, emit: (Long, Long, Double) => Unit,
+               useExactAvg: Boolean = false): Iterator[(Long, scala.collection.IndexedSeq[EmbeddedRec])] = {
+    if (bucket.length < 2) return Iterator.empty
+    val effective = if (depth >= p.maxDepth) p.copy(limit = Int.MaxValue) else p
+    val survivors = bruteForceStep(bucket, lambda, effective, nodeSeed, stats, emit, useExactAvg)
+    if (survivors.length < 2) return Iterator.empty
+    splitCoordinates(nodeSeed, p.t, lambda).iterator.flatMap { c =>
+      val children = mutable.HashMap.empty[Int, mutable.ArrayBuffer[EmbeddedRec]]
+      for (x <- survivors) children.getOrElseUpdate(x.mh(c), mutable.ArrayBuffer.empty) += x
+      children.iterator.collect { case (v, child) if child.length >= 2 => (childSeed(nodeSeed, c, v), child) }
+    }
+  }
+
   /** One repetition of CPSJoin (one Chosen Path tree). */
   def runRep(recs: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, p: CPSParams, rep: Int,
              stats: StatsSink, emit: (Long, Long, Double) => Unit,
              useExactAvg: Boolean = false): Unit = {
-    def recurse(bucket: scala.collection.IndexedSeq[EmbeddedRec], nodeSeed: Long, depth: Int): Unit = {
-      if (bucket.length < 2) return
-      val effective =
-        if (depth >= p.maxDepth) p.copy(limit = Int.MaxValue) // force exact finish at the cap
-        else p
-      val survivors = bruteForceStep(bucket, lambda, effective, nodeSeed, stats, emit, useExactAvg)
-      if (survivors.length < 2) return
-      val coords = splitCoordinates(nodeSeed, p.t, lambda)
-      var ci = 0
-      while (ci < coords.length) {
-        val c = coords(ci)
-        val children = mutable.HashMap.empty[Int, mutable.ArrayBuffer[EmbeddedRec]]
-        var xi = 0
-        while (xi < survivors.length) {
-          val x = survivors(xi)
-          children.getOrElseUpdate(x.mh(c), mutable.ArrayBuffer.empty) += x
-          xi += 1
-        }
-        for ((v, child) <- children if child.length >= 2)
-          recurse(child.toIndexedSeq, childSeed(nodeSeed, c, v), depth + 1)
-        ci += 1
-      }
-    }
-
+    def recurse(bucket: scala.collection.IndexedSeq[EmbeddedRec], nodeSeed: Long, depth: Int): Unit =
+      for ((seed, child) <- nodeStep(bucket, lambda, p, nodeSeed, depth, stats, emit, useExactAvg))
+        recurse(child, seed, depth + 1)
     recurse(recs, rootSeed(p, rep), 0)
   }
 
@@ -176,7 +177,7 @@ object CPSJoinLocal {
                p: CPSParams = CPSParams(), stats: StatsSink = NullStats,
                useExactAvg: Boolean = false): Map[(Long, Long), Double] = {
     val out = mutable.HashMap.empty[(Long, Long), Double]
-    val emit = (a: Long, b: Long, s: Double) => { out.update((math.min(a, b), math.max(a, b)), s); () }
+    val emit = (a: Long, b: Long, s: Double) => { out.update((a, b), s); () }
     var r = 0
     while (r < p.reps) {
       runRep(recs, lambda, p, r, stats, emit, useExactAvg)

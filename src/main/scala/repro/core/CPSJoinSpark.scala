@@ -21,11 +21,12 @@ final case class Verified(a: Long, b: Long, sim: Double) extends NodeOut
   * The Chosen Path recursion tree is evaluated breadth-first: level k is an
   * `RDD[(path, id)]` of live (tree-node, record) memberships. Each level
   * shuffles its rows by bucket (`groupByKey` over a `HashPartitioner` with
-  * `spark.sql.shuffle.partitions` partitions) and runs the node-local
-  * BRUTEFORCE step (`CPSJoinLocal.bruteForceStep`: sketch-based average
-  * similarity estimation, sketch-filtered verification) on each group,
-  * emitting verified pairs and exploding survivors into child buckets on the
-  * sampled minhash coordinates.
+  * `spark.sql.shuffle.partitions` partitions) and runs the node step that
+  * the local recursion runs (`CPSJoinLocal.nodeStep`: the depth cap,
+  * BRUTEFORCE with sketch-based average-similarity estimation and
+  * sketch-filtered verification, and the split on sampled minhash
+  * coordinates) on each group. Its emitted pairs become `Verified` rows and
+  * the members of its children become `Live` rows of the next level.
   *
   * Each level's output is persisted, and one `count` of its live rows both
   * materialises it and decides whether another level runs. Verified pairs
@@ -38,7 +39,7 @@ final case class Verified(a: Long, b: Long, sim: Double) extends NodeOut
   * path (seed), and the node step does not depend on the order in which a
   * bucket's rows arrive, so for equal parameters this implementation explores
   * exactly the same tree, and reports exactly the same pairs and counters, as
-  * `CPSJoinLocal` (a property the tests assert).
+  * `CPSJoinLocal.runRep` (a property the tests assert).
   *
   * Record payloads (tokens, minhash vector, sketch) are broadcast once; the
   * shuffled rows are two longs each.
@@ -71,10 +72,13 @@ final class CPSJoinSpark(
     try {
       var live = true
       while (live) {
-        val atCap = outs.length >= params.maxDepth
+        val depth = outs.length
         val out = level.coalesce(slots).groupByKey(part)
           .flatMap { case (path, ids) =>
-            CPSJoinSpark.processNode(path, ids.iterator, bc.value, lam, params, atCap, sink)
+            val verified = mutable.ArrayBuffer.empty[NodeOut]
+            val children = CPSJoinLocal.nodeStep(ids.iterator.map(bc.value(_)).toIndexedSeq, lam, params,
+              path, depth, sink, (a, b, s) => { verified += Verified(a, b, s); () })
+            verified.iterator ++ children.flatMap { case (seed, child) => child.iterator.map(x => Live(seed, x.id)) }
           }
           .persist(StorageLevel.MEMORY_AND_DISK)
         outs += out
@@ -110,33 +114,6 @@ object CPSJoinSpark {
   /** The payload's record ids in ascending order, as an RDD. */
   def parallelIds(spark: SparkSession, payload: Broadcast[Map[Long, EmbeddedRec]]): RDD[Long] =
     spark.sparkContext.parallelize(payload.value.keys.toArray.sorted.toSeq)
-
-  /** Bucket-local work for one tree node: BRUTEFORCE step then splitting.
-    * Mirrors `CPSJoinLocal.recurse` one level at a time.
-    */
-  def processNode(path: Long, idIt: Iterator[Long], dict: Map[Long, EmbeddedRec],
-                  lambda: Double, p: CPSParams, atDepthCap: Boolean,
-                  stats: StatsSink): Iterator[NodeOut] = {
-    val bucket = idIt.map(dict(_)).toIndexedSeq
-    if (bucket.length < 2) return Iterator.empty
-    val out = mutable.ArrayBuffer.empty[NodeOut]
-    val emit = (a: Long, b: Long, s: Double) => { out += Verified(math.min(a, b), math.max(a, b), s); () }
-    val effective = if (atDepthCap) p.copy(limit = Int.MaxValue) else p
-    val survivors = CPSJoinLocal.bruteForceStep(bucket, lambda, effective, path, stats, emit)
-    if (survivors.length >= 2) {
-      val coords = CPSJoinLocal.splitCoordinates(path, p.t, lambda)
-      var ci = 0
-      while (ci < coords.length) {
-        val c = coords(ci)
-        val children = mutable.HashMap.empty[Int, Int]
-        for (x <- survivors) children.update(x.mh(c), children.getOrElse(x.mh(c), 0) + 1)
-        for (x <- survivors; if children(x.mh(c)) >= 2)
-          out += Live(CPSJoinLocal.childSeed(path, c, x.mh(c)), x.id)
-        ci += 1
-      }
-    }
-    out.iterator
-  }
 
   /** Convenience one-shot self-join with `p.reps` repetitions. */
   def selfJoin(spark: SparkSession, recs: scala.collection.IndexedSeq[SetRec], lambda: Double,

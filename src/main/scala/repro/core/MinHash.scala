@@ -71,9 +71,15 @@ final class MinHasher(val t: Int, val sketchWords: Int, seed: Long) extends Seri
 final case class EmbeddedRec(id: Long, tokens: Array[Int], mh: Array[Int], sketch: Array[Long])
 
 object EmbeddedRec {
-  def embedAll(recs: scala.collection.IndexedSeq[SetRec], hasher: MinHasher): Array[EmbeddedRec] =
-    recs.iterator.map { r =>
+  /** Embed every record that has tokens. A record with no tokens is left
+    * out, so it takes part in no pair (as in both AllPairs engines); two
+    * records with one id are rejected.
+    */
+  def embedAll(recs: scala.collection.IndexedSeq[SetRec], hasher: MinHasher): Array[EmbeddedRec] = {
+    SetRec.requireDistinctIds(recs)
+    recs.iterator.filter(_.tokens.nonEmpty).map { r =>
       val (mh, sk) = hasher.embed(r.tokens)
       EmbeddedRec(r.id, r.tokens, mh, sk)
     }.toArray
+  }
 }

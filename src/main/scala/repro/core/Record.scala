@@ -13,6 +13,19 @@ object SetRec {
   /** Build a record from possibly unsorted / duplicated tokens. */
   def normalized(id: Long, tokens: Iterable[Int]): SetRec =
     SetRec(id, tokens.toArray.distinct.sorted)
+
+  /** Reject input in which two records share an id. Every engine checks
+    * this where records enter it, so none silently merges or drops one.
+    */
+  def requireDistinctIds(recs: scala.collection.IndexedSeq[SetRec]): Unit = {
+    val ids = recs.iterator.map(_.id).toArray
+    java.util.Arrays.sort(ids)
+    var i = 1
+    while (i < ids.length) {
+      require(ids(i - 1) != ids(i), s"duplicate record id ${ids(i)}")
+      i += 1
+    }
+  }
 }
 
 /** Exact set-overlap primitives on sorted token arrays. */

@@ -32,6 +32,16 @@ object Verification {
     if (sim >= lambda) { stats.results(1); sim } else Double.NaN
   }
 
+  /** Verify one candidate pair and emit it as (smaller id, larger id, sim)
+    * if it is a result. Every pair the brute-force routines emit goes
+    * through here, so callers never reorder ids.
+    */
+  private[core] def verifyEmit(x: EmbeddedRec, y: EmbeddedRec, lambda: Double, lambdaHat: Double,
+                               sketchBits: Int, stats: StatsSink, emit: (Long, Long, Double) => Unit): Unit = {
+    val s = verify(x, y, lambda, lambdaHat, sketchBits, stats)
+    if (!s.isNaN) { if (x.id < y.id) emit(x.id, y.id, s) else emit(y.id, x.id, s) }
+  }
+
   /** Brute-force all pairs within a bucket (BRUTEFORCEPAIRS). */
   def bruteForcePairs(bucket: scala.collection.IndexedSeq[EmbeddedRec], lambda: Double, lambdaHat: Double,
                       sketchBits: Int, stats: StatsSink,
@@ -40,8 +50,7 @@ object Verification {
     while (i < bucket.length) {
       var j = i + 1
       while (j < bucket.length) {
-        val s = verify(bucket(i), bucket(j), lambda, lambdaHat, sketchBits, stats)
-        if (!s.isNaN) emit(bucket(i).id, bucket(j).id, s)
+        verifyEmit(bucket(i), bucket(j), lambda, lambdaHat, sketchBits, stats, emit)
         j += 1
       }
       i += 1
@@ -54,11 +63,7 @@ object Verification {
                       emit: (Long, Long, Double) => Unit): Unit = {
     var j = 0
     while (j < bucket.length) {
-      val y = bucket(j)
-      if (y.id != x.id) {
-        val s = verify(x, y, lambda, lambdaHat, sketchBits, stats)
-        if (!s.isNaN) emit(math.min(x.id, y.id), math.max(x.id, y.id), s)
-      }
+      if (bucket(j).id != x.id) verifyEmit(x, bucket(j), lambda, lambdaHat, sketchBits, stats, emit)
       j += 1
     }
   }

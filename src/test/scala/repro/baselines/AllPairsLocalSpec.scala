@@ -83,4 +83,9 @@ class AllPairsLocalSpec extends AnyFunSuite {
     AllPairsLocal.selfJoin(dense, 0.5, sDense)
     assert(sRare.pre < sDense.pre, s"rare=${sRare.pre} dense=${sDense.pre}")
   }
+
+  test("duplicate ids are rejected") {
+    val recs = IndexedSeq(SetRec(1, Array(1, 2)), SetRec(2, Array(3, 4)), SetRec(1, Array(1, 3)))
+    intercept[IllegalArgumentException](AllPairsLocal.selfJoin(recs, 0.5))
+  }
 }

@@ -138,4 +138,9 @@ class AllPairsSparkSpec extends SparkSpec {
     val truth = TestUtil.bruteTruth(recs, 0.9)
     assert(dist.keySet == truth.keySet)
   }
+
+  test("duplicate ids are rejected") {
+    val recs = IndexedSeq(SetRec(1, Array(1, 2)), SetRec(2, Array(3, 4)), SetRec(1, Array(1, 3)))
+    intercept[IllegalArgumentException](AllPairsSpark.selfJoinCollect(spark, recs, 0.5))
+  }
 }

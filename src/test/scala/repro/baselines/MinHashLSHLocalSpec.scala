@@ -82,4 +82,14 @@ class MinHashLSHLocalSpec extends AnyFunSuite {
     val res = MinHashLSHLocal.selfJoin(dup, 0.9, 0.9, p, kOverride = Some(2))
     assert(res.contains((0L, 1L)))
   }
+
+  test("a record with no tokens takes part in no pair") {
+    val recs = IndexedSeq(SetRec(1, Array.empty[Int]), SetRec(2, Array(1, 2)), SetRec(3, Array(1, 2)))
+    assert(MinHashLSHLocal.selfJoin(emb(recs), 0.5, 0.9, p) == Map((2L, 3L) -> 1.0))
+  }
+
+  test("duplicate ids are rejected") {
+    val recs = IndexedSeq(SetRec(1, Array(1, 2)), SetRec(2, Array(3, 4)), SetRec(1, Array(1, 3)))
+    intercept[IllegalArgumentException](emb(recs))
+  }
 }

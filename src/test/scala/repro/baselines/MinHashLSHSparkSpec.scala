@@ -50,4 +50,15 @@ class MinHashLSHSparkSpec extends SparkSpec {
   test("trivial inputs") {
     assert(MinHashLSHSpark.selfJoin(spark, IndexedSeq(SetRec(0, Array(1, 2))), 0.5, 0.9, p).isEmpty)
   }
+
+  test("a record with no tokens takes part in no pair") {
+    val recs = IndexedSeq(SetRec(1, Array.empty[Int]), SetRec(2, Array(1, 2)), SetRec(3, Array(1, 2)))
+    assert(MinHashLSHSpark.selfJoin(spark, recs, 0.5, 0.9, p) == Map((2L, 3L) -> 1.0))
+    assert(MinHashLSHSpark.selfJoin(spark, IndexedSeq(SetRec(1, Array.empty[Int])), 0.5, 0.9, p).isEmpty)
+  }
+
+  test("duplicate ids are rejected") {
+    val recs = IndexedSeq(SetRec(1, Array(1, 2)), SetRec(2, Array(3, 4)), SetRec(1, Array(1, 3)))
+    intercept[IllegalArgumentException](MinHashLSHSpark.selfJoin(spark, recs, 0.5, 0.9, p))
+  }
 }

@@ -165,4 +165,14 @@ class CPSJoinLocalSpec extends AnyFunSuite {
     assert(stats.pre >= stats.cand)
     assert(stats.cand >= 0 && stats.res <= stats.cand)
   }
+
+  test("a record with no tokens takes part in no pair") {
+    val recs = IndexedSeq(SetRec(1, Array.empty[Int]), SetRec(2, Array(1, 2)), SetRec(3, Array(1, 2)))
+    assert(CPSJoinLocal.selfJoinRaw(recs, 0.5, p) == Map((2L, 3L) -> 1.0))
+  }
+
+  test("duplicate ids are rejected") {
+    val recs = IndexedSeq(SetRec(1, Array(1, 2)), SetRec(2, Array(3, 4)), SetRec(1, Array(1, 3)))
+    intercept[IllegalArgumentException](CPSJoinLocal.selfJoinRaw(recs, 0.5, p))
+  }
 }

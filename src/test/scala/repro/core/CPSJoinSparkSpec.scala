@@ -92,4 +92,14 @@ class CPSJoinSparkSpec extends SparkSpec {
     // forced, so well-above-threshold pairs must all be present.
     assert(strong.subsetOf(res.keySet))
   }
+
+  test("a record with no tokens takes part in no pair") {
+    val recs = IndexedSeq(SetRec(1, Array.empty[Int]), SetRec(2, Array(1, 2)), SetRec(3, Array(1, 2)))
+    assert(CPSJoinSpark.selfJoin(spark, recs, 0.5, p) == Map((2L, 3L) -> 1.0))
+  }
+
+  test("duplicate ids are rejected") {
+    val recs = IndexedSeq(SetRec(1, Array(1, 2)), SetRec(2, Array(3, 4)), SetRec(1, Array(1, 3)))
+    intercept[IllegalArgumentException](CPSJoinSpark.selfJoin(spark, recs, 0.5, p))
+  }
 }

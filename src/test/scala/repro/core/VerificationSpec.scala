@@ -89,4 +89,11 @@ class VerificationSpec extends AnyFunSuite {
     val truth = TestUtil.bruteTruth(recs, 0.5).keySet.filter(pr => pr._1 == 0L || pr._2 == 0L)
     assert(found == truth)
   }
+
+  test("bruteForcePairs emits every pair as (smaller id, larger id) on a bucket in descending id order") {
+    val clones = (5 to 1 by -1).map(i => SetRec(i.toLong, Array(1, 2, 3, 4)))
+    val found = scala.collection.mutable.ArrayBuffer.empty[(Long, Long)]
+    Verification.bruteForcePairs(emb(clones), 0.5, 0.0, 0, NullStats, (a, b, _) => found += ((a, b)))
+    assert(found.size == 10 && found.forall { case (a, b) => a < b }, found)
+  }
 }
